@@ -7,6 +7,24 @@
 //! the small tiles are fully contained in their group, a splat touching a
 //! small tile always touches the group, so the bitmasks losslessly encode
 //! the baseline's per-tile assignment.
+//!
+//! Nothing is tested tile by tile. A footprint covers one contiguous
+//! x-interval of any horizontal band
+//! ([`GaussianFootprint::band_span`]), so per splat:
+//!
+//! 1. one span per candidate *group row* (under the group boundary) gives
+//!    the run of group columns it overlaps — the groups kept in that row;
+//! 2. one span per candidate *tile row* (under the bitmask boundary) gives
+//!    a run of tile columns, which lands in each kept group's mask as a
+//!    single shifted run of at most 8 bits (64-bit masks hold 8×8 tiles);
+//! 3. a splat whose candidate box is the one tile (or group) holding its
+//!    mean needs no span at all: every boundary method hits that tile.
+//!
+//! Spans and the baseline's per-tile [`GaussianFootprint::intersects`]
+//! agree up to rounding where a footprint just touches a tile (bit for bit
+//! under AABB), and the stage counters are computed to the per-tile
+//! definitions (see [`identify_groups`]), so the accelerator model reads
+//! the same work as before.
 
 use crate::bitmask::{GroupLayout, TileBitmask};
 use crate::config::GstgConfig;
@@ -143,19 +161,28 @@ impl GroupAssignments {
     }
 }
 
-/// Runs group identification and bitmask generation.
+/// Runs group identification and bitmask generation with one footprint
+/// span per candidate group row and per candidate small-tile row (see the
+/// [module docs](self)). The result equals testing every candidate group
+/// and small tile with [`GaussianFootprint::intersects`], up to rounding
+/// for tiles the footprint just touches.
 ///
-/// `counts.tile_tests` / `counts.tile_intersections` are charged for the
-/// group-level tests (they play the role the tile tests play in the
-/// baseline), and `counts.bitmask_tests` for the per-small-tile tests that
-/// build the bitmasks. The prepass reconciliation counters mirror the
-/// baseline's at small-tile granularity: `tiles_tested` counts every
-/// geometric small-tile test (including exact refinements under
-/// [`PrepassMode::Exact`]), `tiles_hit` the bits finally set, and
-/// `prepass_overcount_trimmed` the conservatively marked bits the exact
-/// ellipse test cleared. Under [`PrepassMode::Exact`] a group entry whose
-/// bitmask ends up empty is dropped entirely — it could never contribute a
-/// pixel, so removing its sort key is lossless.
+/// The counters keep the definitions of that per-tile loop and are
+/// computed arithmetically:
+///
+/// * `tile_tests` — candidate groups;
+/// * `tile_intersections` — group entries kept;
+/// * `bitmask_tests` — candidate small tiles inside the image of every
+///   kept group;
+/// * `tiles_tested` — `bitmask_tests` plus, under [`PrepassMode::Exact`]
+///   with a conservative bitmask boundary, one ellipse refinement per tile
+///   that boundary marks;
+/// * `tiles_hit` — bits set;
+/// * `prepass_overcount_trimmed` — marked bits the ellipse span clears.
+///
+/// Under [`PrepassMode::Exact`] a group entry whose bitmask ends up empty
+/// is dropped entirely — it could never contribute a pixel, so removing its
+/// sort key is lossless.
 pub fn identify_groups(
     projected: &[ProjectedGaussian],
     image_width: u32,
@@ -179,9 +206,8 @@ pub fn identify_groups(
 
 /// In-place variant of [`identify_groups`] used by the render sessions:
 /// `out` is rebuilt through `scratch`, retaining both allocations across
-/// frames. Every group/bitmask test is performed (and charged) exactly
-/// once; the staged `(group, entry)` pairs are then counting-sorted into
-/// the CSR layout, preserving scene order within each group.
+/// frames. The staged `(group, entry)` pairs are counting-sorted into the
+/// CSR layout, preserving scene order within each group.
 pub fn identify_groups_into(
     projected: &[ProjectedGaussian],
     image_width: u32,
@@ -206,65 +232,138 @@ pub fn identify_groups_into(
     // The exact ellipse test only refines bits the conservative boundary
     // marked; with the ellipse boundary already in use it adds nothing.
     let refine = exact && config.bitmask_boundary != BoundaryMethod::Ellipse;
+    let side = layout.tiles_per_side();
+    let tile_px = config.tile_size as f32;
+    let group_px = config.group_size as f32;
 
-    for (slot, splat) in projected.iter().enumerate() {
+    for (slot, (splat, groups_hit)) in projected
+        .iter()
+        .zip(out.groups_per_gaussian.iter_mut())
+        .enumerate()
+    {
         let Some(footprint) = GaussianFootprint::from_covariance(splat.mean, splat.cov) else {
             continue;
         };
-        let group_half_extent = footprint.candidate_half_extent(config.group_boundary);
-        let (gx0, gx1, gy0, gy1) = group_grid.tile_range(splat.mean, group_half_extent);
-        // Candidate range of small tiles under the bitmask boundary: tiles
-        // outside it can never be marked, so their tests are skipped (the
-        // same pre-filter the baseline's tile identification applies).
+        // Candidate small tiles under the bitmask boundary: tiles outside
+        // this box are never marked (the baseline's pre-filter). Both ranges
+        // are clamped to the image.
         let tile_half_extent = footprint.candidate_half_extent(config.bitmask_boundary);
-        let (ctx0, ctx1, cty0, cty1) = tile_grid.tile_range(splat.mean, tile_half_extent);
+        let group_half_extent = if config.group_boundary == config.bitmask_boundary {
+            tile_half_extent
+        } else {
+            footprint.candidate_half_extent(config.group_boundary)
+        };
+        let (gx0, gx1, gy0, gy1) = group_grid.tile_range(splat.mean, group_half_extent);
+        let (tx0, tx1, ty0, ty1) = tile_grid.tile_range(splat.mean, tile_half_extent);
+        counts.tile_tests += u64::from(gx1 - gx0) * u64::from(gy1 - gy0);
+        let single_group = gx1 - gx0 == 1
+            && gy1 - gy0 == 1
+            && group_grid
+                .tile_rect_unclipped(gx0, gy0)
+                .contains(splat.mean);
+        let single_tile = tx1 - tx0 == 1
+            && ty1 - ty0 == 1
+            && tile_grid.tile_rect_unclipped(tx0, ty0).contains(splat.mean);
+
+        // Tile-column runs `[lo, hi)` of one tile row, clipped to the
+        // candidate columns: what the bitmask boundary marks, and what
+        // survives the exact refinement.
+        let row_runs = |ty: u32| -> RowRuns {
+            if single_tile {
+                return RowRuns {
+                    marked: (tx0, tx1),
+                    kept: (tx0, tx1),
+                };
+            }
+            let y0 = (ty * config.tile_size) as f32;
+            let run = |method| {
+                footprint
+                    .band_span(y0, y0 + tile_px, method)
+                    .map_or((0, 0), |span| {
+                        let (lo, hi) = span_cells(span, tile_px);
+                        (lo.max(tx0), hi.min(tx1))
+                    })
+            };
+            let marked = run(config.bitmask_boundary);
+            let kept = if refine {
+                let ellipse = run(BoundaryMethod::Ellipse);
+                (ellipse.0.max(marked.0), ellipse.1.min(marked.1))
+            } else {
+                marked
+            };
+            RowRuns { marked, kept }
+        };
+
         for gy in gy0..gy1 {
-            for gx in gx0..gx1 {
-                counts.tile_tests += 1;
-                let group_rect = group_grid.tile_rect_unclipped(gx, gy);
-                if !footprint.intersects(&group_rect, config.group_boundary) {
+            // The groups of this row the group boundary keeps.
+            let (kx0, kx1) = if single_group {
+                (gx0, gx1)
+            } else {
+                let y0 = (gy * config.group_size) as f32;
+                let Some(span) = footprint.band_span(y0, y0 + group_px, config.group_boundary)
+                else {
+                    continue;
+                };
+                // Group columns from tile columns: both divisions stay exact.
+                let (lo, hi) = span_cells(span, tile_px);
+                if lo >= hi {
                     continue;
                 }
+                ((lo / side).max(gx0), ((hi - 1) / side + 1).min(gx1))
+            };
+            if kx0 >= kx1 {
+                continue;
+            }
 
-                // Bitmask generation: test the splat against the candidate
-                // small tiles of this group that lie inside the image.
-                let side = layout.tiles_per_side();
-                let tx_lo = (gx * side).max(ctx0);
-                let tx_hi = ((gx + 1) * side).min(ctx1).min(tile_grid.tiles_x());
-                let ty_lo = (gy * side).max(cty0);
-                let ty_hi = ((gy + 1) * side).min(cty1).min(tile_grid.tiles_y());
-                let mut bitmask = TileBitmask::EMPTY;
-                for ty in ty_lo..ty_hi {
-                    for tx in tx_lo..tx_hi {
-                        counts.bitmask_tests += 1;
-                        counts.tiles_tested += 1;
-                        let tile_rect = tile_grid.tile_rect_unclipped(tx, ty);
-                        if !footprint.intersects(&tile_rect, config.bitmask_boundary) {
-                            continue;
-                        }
-                        if refine {
-                            counts.tiles_tested += 1;
-                            if !footprint.intersects(&tile_rect, BoundaryMethod::Ellipse) {
-                                counts.prepass_overcount_trimmed += 1;
-                                continue;
-                            }
-                        }
-                        counts.tiles_hit += 1;
-                        bitmask.set(layout.bit_index(tx - gx * side, ty - gy * side));
+            // Candidate tile rows inside this group row, each spanned once
+            // and shared by every kept group of the row.
+            let row_lo = (gy * side).max(ty0);
+            let row_hi = ((gy + 1) * side).min(ty1);
+            let mut rows = [RowRuns::EMPTY; MAX_TILES_PER_SIDE];
+            for (runs, ty) in rows.iter_mut().zip(row_lo..row_hi) {
+                *runs = row_runs(ty);
+            }
+            let rows_in_group = row_hi.saturating_sub(row_lo);
+
+            for gx in kx0..kx1 {
+                let col_lo = (gx * side).max(tx0);
+                let col_hi = ((gx + 1) * side).min(tx1);
+                let tested = u64::from(col_hi.saturating_sub(col_lo)) * u64::from(rows_in_group);
+                counts.bitmask_tests += tested;
+                counts.tiles_tested += tested;
+
+                let mut bits = 0u64;
+                let mut marked = 0u64;
+                for (runs, ty) in rows.iter().zip(row_lo..row_hi) {
+                    let lo = runs.kept.0.max(col_lo);
+                    let hi = runs.kept.1.min(col_hi);
+                    if lo < hi {
+                        // At most `side` ≤ 8 bits, ending at or below bit 63.
+                        let shift = (ty - gy * side) * side + (lo - gx * side);
+                        bits |= ((1u64 << (hi - lo)) - 1) << shift;
+                    }
+                    if refine {
+                        let (lo, hi) = (runs.marked.0.max(col_lo), runs.marked.1.min(col_hi));
+                        marked += u64::from(hi.saturating_sub(lo));
                     }
                 }
+                let hit = u64::from(bits.count_ones());
+                if refine {
+                    counts.tiles_tested += marked;
+                    counts.prepass_overcount_trimmed += marked - hit;
+                }
+                counts.tiles_hit += hit;
 
-                if exact && bitmask.is_empty() {
+                if exact && bits == 0 {
                     continue;
                 }
                 counts.tile_intersections += 1;
-                out.groups_per_gaussian[slot] += 1;
-
+                *groups_hit += 1;
                 scratch.stage(
                     group_grid.tile_index(gx, gy) as u32,
                     GroupEntry {
                         slot: slot as u32,
-                        bitmask,
+                        bitmask: TileBitmask::from_bits(bits),
                     },
                 );
             }
@@ -272,6 +371,55 @@ pub fn identify_groups_into(
     }
 
     scratch.build_into(group_grid.tile_count(), &mut out.per_group);
+}
+
+/// Largest group edge in small tiles: a group's bitmask holds at most 64
+/// bits ([`GroupLayout::new`] enforces it).
+const MAX_TILES_PER_SIDE: usize = 8;
+
+/// Tile-column runs `[lo, hi)` of one small-tile row.
+#[derive(Debug, Clone, Copy)]
+struct RowRuns {
+    /// Columns the bitmask boundary marks.
+    marked: (u32, u32),
+    /// Columns whose bits are set: `marked`, narrowed by the exact
+    /// refinement when it runs.
+    kept: (u32, u32),
+}
+
+impl RowRuns {
+    const EMPTY: Self = Self {
+        marked: (0, 0),
+        kept: (0, 0),
+    };
+}
+
+/// Columns `[lo, hi)` of the `cell`-pixel cells the closed span
+/// `(x_min, x_max)` touches, treating cell `k` as the closed interval
+/// `[k·cell, (k+1)·cell]` as [`GaussianFootprint::intersects`] does; the
+/// range is not clipped above and is empty when `lo >= hi`. `cell` is a
+/// power of two, so the divisions are exact.
+fn span_cells((x_min, x_max): (f32, f32), cell: f32) -> (u32, u32) {
+    // Cell k is touched when ⌈lo⌉ − 1 ≤ k ≤ ⌊hi⌋. Truncation stands in for
+    // `floor`/`ceil` (library calls on baseline x86-64): it is `floor` for
+    // non-negative values, and the comparisons send negatives and NaN to 0.
+    let (lo, hi) = (x_min / cell, x_max / cell);
+    let first = if lo > 0.0 {
+        let t = lo as u32;
+        if t as f32 == lo {
+            t - 1
+        } else {
+            t
+        }
+    } else {
+        0
+    };
+    let end = if hi >= 0.0 {
+        (hi as u32).saturating_add(1)
+    } else {
+        0
+    };
+    (first, end)
 }
 
 #[cfg(test)]

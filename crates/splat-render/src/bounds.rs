@@ -12,6 +12,12 @@
 //! * **Ellipse** — FlashGS tests the exact 3σ ellipse against the tile
 //!   rectangle (a box-constrained minimization of the Mahalanobis form).
 //!
+//! [`GaussianFootprint::band_span`] answers the same question a whole tile
+//! row at a time: the x-interval the footprint covers inside a horizontal
+//! band, in closed form for each method. A rectangle passes
+//! [`GaussianFootprint::intersects`] exactly when its x-range overlaps the
+//! span of its band (up to rounding), so one span replaces a row of tests.
+//!
 //! The rectangle type and the 3σ constants live in [`splat_core::rect`]
 //! (they are shared with the blending kernel) and are re-exported here.
 
@@ -88,6 +94,106 @@ impl GaussianFootprint {
             BoundaryMethod::Aabb => Vec2::splat(self.aabb_half_extent()),
             BoundaryMethod::Obb | BoundaryMethod::Ellipse => self.tight_half_extent(),
         }
+    }
+
+    /// The closed x-interval `(x_min, x_max)`, in pixels, that the footprint
+    /// covers inside the horizontal band `y0 ≤ y ≤ y1` under `method`, or
+    /// `None` when the footprint misses the band.
+    ///
+    /// A rectangle `[x0, x1] × [y0, y1]` passes
+    /// [`intersects`](Self::intersects) exactly when `x_min ≤ x1` and
+    /// `x_max ≥ x0`: bit for bit under AABB, and up to rounding near the
+    /// boundary under OBB and Ellipse. Each method is closed form:
+    ///
+    /// * **AABB** — the square box when it reaches the band.
+    /// * **OBB** — the oriented rectangle clipped to the band. Its widest
+    ///   reach to the right lies at the height of its rightmost corner, or
+    ///   at the nearer band edge when that corner is outside the band
+    ///   (likewise to the left).
+    /// * **Ellipse** — the conic's x-extreme when its height lies in the
+    ///   band, and otherwise the conic's chord at the nearer band edge.
+    pub fn band_span(&self, y0: f32, y1: f32, method: BoundaryMethod) -> Option<(f32, f32)> {
+        match method {
+            BoundaryMethod::Aabb => self.band_span_aabb(y0, y1),
+            BoundaryMethod::Obb => self.band_span_obb(y0 - self.mean.y, y1 - self.mean.y),
+            BoundaryMethod::Ellipse => self.band_span_ellipse(y0 - self.mean.y, y1 - self.mean.y),
+        }
+    }
+
+    /// AABB span: the same comparisons as [`Self::intersects_aabb`].
+    fn band_span_aabb(&self, y0: f32, y1: f32) -> Option<(f32, f32)> {
+        let half = self.aabb_half_extent();
+        (self.mean.y + half >= y0 && self.mean.y - half <= y1)
+            .then_some((self.mean.x - half, self.mean.x + half))
+    }
+
+    /// OBB span over the band `dy0 ≤ y − μ.y ≤ dy1`.
+    ///
+    /// The slice width of a convex polygon is concave in the height, so the
+    /// rightmost point inside the band is the rightmost corner when the
+    /// band holds it, and otherwise where the nearer band edge cuts the
+    /// corner's edge towards the topmost or bottommost corner (likewise to
+    /// the left). Interpolating along an edge keeps the answer between the
+    /// edge's corners even for a nearly horizontal edge.
+    fn band_span_obb(&self, dy0: f32, dy1: f32) -> Option<(f32, f32)> {
+        let (u, v) = (self.axis_major, self.axis_minor);
+        let along_u = u * self.radius_major.copysign(u.x);
+        let along_v = v * self.radius_minor.copysign(v.x);
+        // Corner offsets: `right` has the largest x, `left = -right` the
+        // smallest; `top` is whichever of the other two lies higher.
+        let right = along_u + along_v;
+        let side = along_u - along_v;
+        let top = if side.y >= 0.0 { side } else { -side };
+        let reach_y = right.y.abs().max(top.y);
+        if dy0 > reach_y || dy1 < -reach_y {
+            return None;
+        }
+        let edge_x = |p: Vec2, q: Vec2, y: f32| {
+            let rise = q.y - p.y;
+            let t = if rise == 0.0 {
+                0.0
+            } else {
+                ((y - p.y) / rise).clamp(0.0, 1.0)
+            };
+            p.x + t * (q.x - p.x)
+        };
+        let extreme_x = |corner: Vec2| {
+            if corner.y < dy0 {
+                edge_x(corner, top, dy0)
+            } else if corner.y > dy1 {
+                edge_x(corner, -top, dy1)
+            } else {
+                corner.x
+            }
+        };
+        Some((
+            self.mean.x + extreme_x(-right),
+            self.mean.x + extreme_x(right),
+        ))
+    }
+
+    /// Ellipse span over the band `dy0 ≤ y − μ.y ≤ dy1`, from the conic
+    /// `q(d) = a·dx² + 2b·dx·dy + c·dy²` bounded by the 3σ cutoff.
+    fn band_span_ellipse(&self, dy0: f32, dy1: f32) -> Option<(f32, f32)> {
+        let a = self.inv_cov.at(0, 0);
+        let b = self.inv_cov.at(0, 1);
+        let c = self.inv_cov.at(1, 1);
+        let det = a * c - b * b;
+        // At height dy the chord is `(-b·dy ± √chord_sq(dy)) / a`.
+        let chord_sq = |dy: f32| MAHALANOBIS_CUTOFF * a - det * dy * dy;
+        let nearest = dy0.max(0.0).min(dy1);
+        if chord_sq(nearest) < 0.0 {
+            return None;
+        }
+        // Height of the rightmost point, 3·Σxy/√Σxx; the leftmost point is
+        // its mirror image through the center.
+        let extreme_y = -SIGMA_EXTENT * b / (c * det).sqrt();
+        let right = extreme_y.max(dy0).min(dy1);
+        let left = (-extreme_y).max(dy0).min(dy1);
+        let inv_a = 1.0 / a;
+        let x_max = (-b * right + chord_sq(right).max(0.0).sqrt()) * inv_a;
+        let x_min = (-b * left - chord_sq(left).max(0.0).sqrt()) * inv_a;
+        Some((self.mean.x + x_min, self.mean.x + x_max))
     }
 
     /// Squared Mahalanobis distance of a pixel-space point from the splat
@@ -396,6 +502,117 @@ mod tests {
             assert!(!ellipse || obb, "case {case}: ellipse hit missed by OBB");
             assert!(!ellipse || aabb, "case {case}: ellipse hit missed by AABB");
         }
+    }
+
+    /// A near-isotropic covariance with a tiny off-diagonal once produced
+    /// zero principal axes, collapsing the tight extent to the tile holding
+    /// the mean. The extent must always reach 3σ along both image axes.
+    #[test]
+    fn tight_extent_of_near_isotropic_splats_reaches_three_sigma() {
+        let mut rng = Rng::seed_from_u64(0x7173_0b0f_1e00_0001);
+        let mut covs = vec![
+            Mat2::from_symmetric(0.300543, 1.12e-7, 0.300550),
+            Mat2::from_symmetric(0.300550, -1.12e-7, 0.300543),
+            Mat2::from_symmetric(4.0, 1.0e-9, 4.0),
+        ];
+        for _ in 0..500 {
+            let v = rng.range_f32(0.05, 50.0);
+            let dv = v * rng.range_f32(-1e-5, 1e-5);
+            let off = v * rng.range_f32(-1e-6, 1e-6);
+            covs.push(Mat2::from_symmetric(v, off, v + dv));
+        }
+        for cov in covs {
+            let f = GaussianFootprint::from_covariance(Vec2::new(80.0, 40.0), cov)
+                .expect("non-degenerate");
+            let ext = f.tight_half_extent();
+            let want_x = SIGMA_EXTENT * cov.at(0, 0).sqrt() * (1.0 - 1e-6);
+            let want_y = SIGMA_EXTENT * cov.at(1, 1).sqrt() * (1.0 - 1e-6);
+            assert!(
+                ext.x >= want_x && ext.y >= want_y,
+                "{cov:?}: extent {ext:?} below ({want_x}, {want_y})"
+            );
+        }
+    }
+
+    /// `band_span` agrees with the per-rectangle test for every method on
+    /// sampled splats and tiles: exactly under AABB, and under OBB and
+    /// Ellipse wherever the answer does not flip when the tile grows or
+    /// shrinks by 1e-3 px.
+    #[test]
+    fn band_span_overlap_matches_the_per_tile_test() {
+        let mut rng = Rng::seed_from_u64(0xBA4D_5AA4_0000_0001);
+        let mut borderline = 0;
+        for case in 0..4000 {
+            let mean = Vec2::new(rng.range_f32(-20.0, 140.0), rng.range_f32(-20.0, 140.0));
+            let s_major = rng.range_f32(0.2, 30.0);
+            let ratio = match case % 4 {
+                0 => 1.0,
+                1 => 0.01,
+                _ => rng.range_f32(0.05, 1.0),
+            };
+            let angle = match case % 5 {
+                0 => 0.0,
+                1 => std::f32::consts::FRAC_PI_2,
+                _ => rng.range_f32(0.0, std::f32::consts::PI),
+            };
+            let f = elongated(mean, s_major, (s_major * ratio).max(0.05), angle);
+            let size = [8.0, 16.0, 32.0][case % 3];
+            let tx = rng.range_f32(-1.0, 9.0).floor();
+            let ty = rng.range_f32(-1.0, 9.0).floor();
+            let tile = TileRect::new(tx * size, ty * size, (tx + 1.0) * size, (ty + 1.0) * size);
+            for m in BoundaryMethod::ALL {
+                let hit = f.intersects(&tile, m);
+                let span = f.band_span(tile.y0, tile.y1, m);
+                let overlap = span.is_some_and(|(x0, x1)| x0 <= tile.x1 && x1 >= tile.x0);
+                if m == BoundaryMethod::Aabb {
+                    assert_eq!(overlap, hit, "case {case}: AABB span disagrees");
+                    continue;
+                }
+                let grown = TileRect::new(
+                    tile.x0 - 1e-3,
+                    tile.y0 - 1e-3,
+                    tile.x1 + 1e-3,
+                    tile.y1 + 1e-3,
+                );
+                let shrunk = TileRect::new(
+                    tile.x0 + 1e-3,
+                    tile.y0 + 1e-3,
+                    tile.x1 - 1e-3,
+                    tile.y1 - 1e-3,
+                );
+                if f.intersects(&grown, m) != f.intersects(&shrunk, m) {
+                    borderline += 1;
+                    continue;
+                }
+                assert_eq!(
+                    overlap, hit,
+                    "case {case}: {m} span {span:?} vs tile {tile:?} f {f:?}"
+                );
+            }
+        }
+        assert!(borderline < 40, "{borderline} borderline cases");
+    }
+
+    #[test]
+    fn band_span_of_an_axis_aligned_ellipse_is_its_chord() {
+        // Axis-aligned ellipse with 3σ radii 12 (x) and 6 (y) at (50, 50).
+        let f = elongated(Vec2::new(50.0, 50.0), 4.0, 2.0, 0.0);
+        // Band holding the center: the full width.
+        let (x0, x1) = f.band_span(45.0, 55.0, BoundaryMethod::Ellipse).unwrap();
+        assert!((x0 - 38.0).abs() < 1e-3 && (x1 - 62.0).abs() < 1e-3);
+        // Band above the center: the chord at the nearer edge, y = 53,
+        // where (dx/12)² + (3/6)² = 1.
+        let half = 12.0 * (1.0f32 - 0.25).sqrt();
+        let (x0, x1) = f.band_span(53.0, 70.0, BoundaryMethod::Ellipse).unwrap();
+        assert!((x0 - (50.0 - half)).abs() < 1e-3 && (x1 - (50.0 + half)).abs() < 1e-3);
+        // Band beyond the 3σ reach.
+        assert!(f.band_span(56.5, 70.0, BoundaryMethod::Ellipse).is_none());
+        assert!(f.band_span(20.0, 43.5, BoundaryMethod::Ellipse).is_none());
+        // The OBB slice of an axis-aligned splat is its box; AABB is square.
+        let (x0, x1) = f.band_span(53.0, 70.0, BoundaryMethod::Obb).unwrap();
+        assert!((x0 - 38.0).abs() < 1e-3 && (x1 - 62.0).abs() < 1e-3);
+        assert!(f.band_span(56.5, 70.0, BoundaryMethod::Obb).is_none());
+        assert!(f.band_span(56.5, 70.0, BoundaryMethod::Aabb).is_some());
     }
 
     /// Any pixel inside the tile that is within the 3σ Mahalanobis

@@ -139,18 +139,36 @@ impl Mat2 {
     }
 
     /// Eigenvectors of a *symmetric* 2×2 matrix, returned as unit vectors
-    /// `(v_max, v_min)` matching [`Mat2::symmetric_eigenvalues`].
+    /// `(v_max, v_min)` matching [`Mat2::symmetric_eigenvalues`], with
+    /// `v_max.x >= 0`.
+    ///
+    /// `(λ_max − c, b)` and `(b, λ_max − a)` both solve `(A − λ_max·I)v = 0`;
+    /// the one whose leading term is `|a − c|/2 + disc` is taken, so no
+    /// cancellation can shrink it below the off-diagonal. The vector is
+    /// normalised however short it is; only a zero-length one falls back
+    /// to the axis basis.
     pub fn symmetric_eigenvectors(&self) -> (Vec2, Vec2) {
         let a = self.at(0, 0);
         let b = 0.5 * (self.at(0, 1) + self.at(1, 0));
         let c = self.at(1, 1);
-        let (l_max, _) = self.symmetric_eigenvalues();
-        let v_max = if b.abs() > 1e-12 {
-            Vec2::new(l_max - c, b).normalized()
-        } else if a >= c {
-            Vec2::new(1.0, 0.0)
+        let disc = (0.25 * (a - c) * (a - c) + b * b).max(0.0).sqrt();
+        let v = if a >= c {
+            Vec2::new(0.5 * (a - c) + disc, b)
         } else {
-            Vec2::new(0.0, 1.0)
+            Vec2::new(b, 0.5 * (c - a) + disc)
+        };
+        // `len` only underflows to zero when `a ≈ c` and `b` is negligible,
+        // where any orthonormal basis is an eigenbasis to within `b`.
+        let len = v.length();
+        let v_max = if len > 0.0 {
+            let unit = v * (1.0 / len);
+            if unit.x < 0.0 {
+                -unit
+            } else {
+                unit
+            }
+        } else {
+            Vec2::new(1.0, 0.0)
         };
         let v_min = Vec2::new(-v_max.y, v_max.x);
         (v_max, v_min)
@@ -508,6 +526,32 @@ mod tests {
         assert!(approx(v1.length(), 1.0));
         assert!(approx(v2.length(), 1.0));
         assert!(approx(v1.dot(v2), 0.0));
+    }
+
+    #[test]
+    fn mat2_eigenvectors_of_near_isotropic_matrices_are_unit_length() {
+        // A tiny non-zero off-diagonal on a near-isotropic matrix once
+        // produced `(0, 0)` axes, collapsing every extent built on them.
+        for m in [
+            Mat2::from_symmetric(0.300543, 1.12e-7, 0.300550),
+            Mat2::from_symmetric(0.300550, 1.12e-7, 0.300543),
+            Mat2::from_symmetric(2.0, -3.0e-9, 2.0),
+            Mat2::from_symmetric(1.0, 1.0e-30, 2.0),
+            Mat2::from_symmetric(0.7, 4.0e-9, 0.3),
+        ] {
+            let (v1, v2) = m.symmetric_eigenvectors();
+            assert!(approx(v1.length(), 1.0), "{m:?}: |v_max| = {}", v1.length());
+            assert!(approx(v2.length(), 1.0), "{m:?}: |v_min| = {}", v2.length());
+            assert!(approx(v1.dot(v2), 0.0));
+            assert!(v1.x >= 0.0);
+        }
+        // A nearly diagonal, clearly anisotropic matrix keeps its major axis
+        // on the larger diagonal entry.
+        let (v1, _) = Mat2::from_symmetric(1.0, 1.0e-9, 2.0).symmetric_eigenvectors();
+        assert!(v1.y.abs() > 0.999, "major axis {v1:?}");
+        // The exactly isotropic matrix falls back to the axis basis.
+        let (v1, v2) = Mat2::from_symmetric(0.5, 0.0, 0.5).symmetric_eigenvectors();
+        assert_eq!((v1, v2), (Vec2::new(1.0, 0.0), Vec2::new(0.0, 1.0)));
     }
 
     #[test]

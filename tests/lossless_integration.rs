@@ -88,3 +88,56 @@ fn half_precision_models_are_also_lossless_between_pipelines() {
     let baseline = Renderer::new(config.equivalent_baseline()).render(&scene, &camera);
     assert_eq!(grouped.image.max_abs_diff(&baseline.image), 0.0);
 }
+
+/// Tiny splats project to the 0.3 px² low-pass covariance plus an
+/// off-diagonal of order 1e-8: near-isotropic footprints whose principal
+/// axes once came back as zero vectors. Ellipse and OBB identification
+/// then kept only the tile holding the mean and dropped the neighbouring
+/// tile the splat still shades. With hundreds of such splats lying across
+/// tile borders, every boundary method and GS-TG must render one frame.
+#[test]
+fn near_isotropic_splats_on_tile_borders_render_identically_under_every_boundary() {
+    use gs_tg::types::rng::Rng;
+
+    let mut rng = Rng::seed_from_u64(0x1507_0b0d);
+    let gaussians: Vec<Gaussian3d> = (0..1500)
+        .map(|_| {
+            Gaussian3d::builder()
+                .position(Vec3::new(
+                    rng.range_f32(-2.5, 2.5),
+                    rng.range_f32(-1.8, 1.8),
+                    rng.range_f32(4.0, 6.0),
+                ))
+                .scale(Vec3::splat(1e-5))
+                .opacity(rng.range_f32(0.5, 1.0))
+                .base_color([rng.gen_f32(), rng.gen_f32(), rng.gen_f32()])
+                .build()
+        })
+        .collect();
+    let scene = Scene::new("near-isotropic", 128, 96, gaussians);
+    let camera = test_camera(128, 96, 1.0);
+
+    let aabb = Renderer::new(RenderConfig::default()).render(&scene, &camera);
+    assert_eq!(RenderConfig::default().boundary, BoundaryMethod::Aabb);
+    let mut frames = vec![(
+        "GS-TG paper default".to_string(),
+        GstgRenderer::new(GstgConfig::paper_default()).render(&scene, &camera),
+    )];
+    for boundary in [BoundaryMethod::Ellipse, BoundaryMethod::Obb] {
+        frames.push((
+            format!("{boundary} baseline"),
+            Renderer::new(RenderConfig::new(16, boundary)).render(&scene, &camera),
+        ));
+    }
+    for (name, output) in &frames {
+        assert_eq!(
+            output.image.max_abs_diff(&aabb.image),
+            0.0,
+            "{name} renders differently from the AABB baseline"
+        );
+        assert_eq!(
+            output.stats.counts.blend_operations, aabb.stats.counts.blend_operations,
+            "{name}: blended contributions"
+        );
+    }
+}
