@@ -48,7 +48,8 @@ pub fn filter_tile_list_into(
     );
 }
 
-/// Rasterizes every tile of every group into a framebuffer.
+/// Rasterizes every tile of every group into a framebuffer with the
+/// production blend kernel ([`SimdMode::default`]) and the full tile walk.
 ///
 /// `threads` > 1 distributes groups across worker threads; each group's
 /// tiles write disjoint framebuffer regions and outputs merge in group
@@ -69,7 +70,7 @@ pub fn rasterize_groups(
         image_height,
         background,
         threads,
-        SimdMode::Scalar,
+        SimdMode::default(),
         SpanMode::Full,
         &mut scratch,
     )
@@ -137,7 +138,7 @@ pub fn rasterize_groups_into(
         image_height,
         background,
         threads,
-        SimdMode::Scalar,
+        SimdMode::default(),
         SpanMode::Full,
         image,
         tile_list,

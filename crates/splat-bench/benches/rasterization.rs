@@ -1,10 +1,13 @@
 //! Criterion benchmark of tile rasterization (α-computation + α-blending),
-//! the stage whose efficiency the small tile size preserves.
+//! the stage whose efficiency the small tile size preserves. Every case
+//! runs the production kernel (`SimdMode::default()`) next to the
+//! per-pixel `Scalar` reference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use splat_core::SimdMode;
 use splat_render::bounds::TileRect;
 use splat_render::preprocess::ProjectedGaussian;
-use splat_render::raster::rasterize_tile;
+use splat_render::raster::rasterize_tile_with;
 use splat_types::{Mat2, Rgb, Vec2};
 
 fn make_splats(count: usize, sigma: f32) -> Vec<ProjectedGaussian> {
@@ -31,9 +34,12 @@ fn raster_tile(c: &mut Criterion) {
         let splats = make_splats(count, 4.0);
         let order: Vec<u32> = (0..count as u32).collect();
         let rect = TileRect::new(0.0, 0.0, 16.0, 16.0);
-        group.bench_with_input(BenchmarkId::new("gaussians", count), &count, |b, _| {
-            b.iter(|| rasterize_tile(&order, &splats, &rect, Rgb::BLACK));
-        });
+        for simd in [SimdMode::default(), SimdMode::Scalar] {
+            let id = BenchmarkId::new(format!("{}/gaussians", simd.label()), count);
+            group.bench_with_input(id, &count, |b, _| {
+                b.iter(|| rasterize_tile_with(&order, &splats, &rect, Rgb::BLACK, simd));
+            });
+        }
     }
     group.finish();
 }
@@ -47,9 +53,12 @@ fn raster_tile_sizes(c: &mut Criterion) {
     group.sample_size(30);
     for &size in &[16u32, 32, 64] {
         let rect = TileRect::new(0.0, 0.0, size as f32, size as f32);
-        group.bench_with_input(BenchmarkId::new("tile", size), &size, |b, _| {
-            b.iter(|| rasterize_tile(&order, &splats, &rect, Rgb::BLACK));
-        });
+        for simd in [SimdMode::default(), SimdMode::Scalar] {
+            let id = BenchmarkId::new(format!("{}/tile", simd.label()), size);
+            group.bench_with_input(id, &size, |b, _| {
+                b.iter(|| rasterize_tile_with(&order, &splats, &rect, Rgb::BLACK, simd));
+            });
+        }
     }
     group.finish();
 }

@@ -52,7 +52,7 @@ pub struct HarnessOptions {
     /// (`--exact-prepass` switches to [`PrepassMode::Exact`]).
     pub prepass: PrepassMode,
     /// SIMD lane width of the projection/blending kernels
-    /// (`--simd {scalar|wide4|wide8}`).
+    /// (`--simd {scalar|wide8}`); defaults to the production kernel.
     pub simd: SimdMode,
     /// Rasterization span mode (`--span {full|rows}`): the full tile walk
     /// or conservative per-row ellipse intervals with the tile-saturation
@@ -75,7 +75,7 @@ impl Default for HarnessOptions {
             json: false,
             frames: None,
             prepass: PrepassMode::Conservative,
-            simd: SimdMode::Scalar,
+            simd: SimdMode::default(),
             span: SpanMode::Full,
             quality: QualityTier::Full,
         }
@@ -134,11 +134,11 @@ impl HarnessOptions {
                 "--simd" if i + 1 < args.len() => {
                     options.simd = match args[i + 1].to_lowercase().as_str() {
                         "scalar" => SimdMode::Scalar,
-                        "wide4" => SimdMode::Wide4,
                         "wide8" => SimdMode::Wide8,
                         other => {
-                            eprintln!("unknown simd mode `{other}`, using scalar");
-                            SimdMode::Scalar
+                            let fallback = SimdMode::default();
+                            eprintln!("unknown simd mode `{other}`, using {}", fallback.label());
+                            fallback
                         }
                     };
                     i += 1;
@@ -206,7 +206,7 @@ impl HarnessOptions {
         if self.prepass != PrepassMode::Conservative {
             description.push_str(&format!(", prepass={:?}", self.prepass));
         }
-        if self.simd != SimdMode::Scalar {
+        if self.simd != SimdMode::default() {
             description.push_str(&format!(", simd={:?}", self.simd));
         }
         if self.span != SpanMode::Full {
@@ -721,7 +721,7 @@ mod tests {
             "7",
             "--exact-prepass",
             "--simd",
-            "wide8",
+            "scalar",
             "--span",
             "rows",
             "--quality",
@@ -733,7 +733,7 @@ mod tests {
         assert!(o.json);
         assert_eq!(o.frames, Some(7));
         assert_eq!(o.prepass, PrepassMode::Exact);
-        assert_eq!(o.simd, SimdMode::Wide8);
+        assert_eq!(o.simd, SimdMode::Scalar);
         assert_eq!(o.span, SpanMode::RowSpans);
         assert_eq!(o.quality, QualityTier::Tier2);
         assert_eq!(
@@ -742,14 +742,14 @@ mod tests {
         );
         assert!(o.describe().contains("frames=7"));
         assert!(o.describe().contains("prepass=Exact"));
-        assert!(o.describe().contains("simd=Wide8"));
+        assert!(o.describe().contains("simd=Scalar"));
         assert!(o.describe().contains("span=RowSpans"));
         assert!(o.describe().contains("quality=t2"));
         let d = HarnessOptions::default();
         assert!(!d.json);
         assert_eq!(d.frames, None);
         assert_eq!(d.prepass, PrepassMode::Conservative);
-        assert_eq!(d.simd, SimdMode::Scalar);
+        assert_eq!(d.simd, SimdMode::Wide8);
         assert_eq!(d.span, SpanMode::Full);
         assert_eq!(d.quality, QualityTier::Full);
         assert_eq!(d.quality_policy(), QualityPolicy::FullOnly);
@@ -776,21 +776,21 @@ mod tests {
         ]);
         assert_eq!(o.scale, SceneScale::Small);
         assert_eq!(o.resolution_divisor, 4);
-        assert_eq!(o.simd, SimdMode::Scalar);
+        assert_eq!(o.simd, SimdMode::Wide8);
         assert_eq!(o.span, SpanMode::Full);
         assert_eq!(o.quality, QualityTier::Full);
     }
 
     #[test]
     fn tuned_configs_carry_the_prepass_and_simd_knobs() {
-        let o = HarnessOptions::parse(["--exact-prepass", "--simd", "wide4", "--span", "rows"]);
+        let o = HarnessOptions::parse(["--exact-prepass", "--simd", "scalar", "--span", "rows"]);
         let render = o.tuned_render_config(RenderConfig::default());
         assert_eq!(render.prepass, PrepassMode::Exact);
-        assert_eq!(render.simd(), SimdMode::Wide4);
+        assert_eq!(render.simd(), SimdMode::Scalar);
         assert_eq!(render.span(), SpanMode::RowSpans);
         let grouped = o.tuned_gstg_config(GstgConfig::paper_default());
         assert_eq!(grouped.prepass, PrepassMode::Exact);
-        assert_eq!(grouped.simd(), SimdMode::Wide4);
+        assert_eq!(grouped.simd(), SimdMode::Scalar);
         assert_eq!(grouped.span(), SpanMode::RowSpans);
         // Default knobs leave the configurations untouched.
         let d = HarnessOptions::default();
@@ -831,7 +831,7 @@ mod tests {
         assert!(json.contains("\"pipeline\":\"engine-gstg\""));
         assert!(json.contains("\"threads\":2"));
         assert!(json.contains("\"prepass\":\"Conservative\""));
-        assert!(json.contains("\"simd\":\"Scalar\""));
+        assert!(json.contains("\"simd\":\"Wide8\""));
     }
 
     #[test]

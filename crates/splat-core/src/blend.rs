@@ -41,7 +41,8 @@ pub struct TileRaster {
     pub counts: StageCounts,
 }
 
-/// Rasterizes one tile.
+/// Rasterizes one tile with the production kernel
+/// ([`SimdMode::default`]).
 ///
 /// * `sorted` — splat slots (indices into `projected`) already sorted
 ///   front-to-back.
@@ -53,13 +54,13 @@ pub fn rasterize_tile(
     rect: &TileRect,
     background: Rgb,
 ) -> TileRaster {
-    rasterize_tile_with(sorted, projected, rect, background, SimdMode::Scalar)
+    rasterize_tile_with(sorted, projected, rect, background, SimdMode::default())
 }
 
-/// [`rasterize_tile`] with an explicit [`SimdMode`]. The wide modes shade
-/// the row in fixed-width pixel chunks (scalar tail) whose per-lane
-/// arithmetic replicates [`shade_pixel`] operation for operation, so every
-/// mode produces bit-identical pixels and identical counters.
+/// [`rasterize_tile`] with an explicit [`SimdMode`]. The wide mode shades
+/// each row in 8-pixel chunks (per-pixel tail) whose per-lane arithmetic
+/// replicates [`shade_pixel`] operation for operation, so both modes
+/// produce bit-identical pixels and identical counters.
 pub fn rasterize_tile_with(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
@@ -73,38 +74,24 @@ pub fn rasterize_tile_with(
     );
     let x0 = rect.x0 as u32;
     let y0 = rect.y0 as u32;
-    let x1 = rect.x1 as u32;
-    let y1 = rect.y1 as u32;
-    let width = x1.saturating_sub(x0);
-    let height = y1.saturating_sub(y0);
-    if width == 0 || height == 0 {
-        // Degenerate rects rasterize nothing; return explicitly instead of
-        // silently looping over a zero-pixel region.
-        return TileRaster {
-            width,
-            height,
-            pixels: Vec::new(),
-            counts: StageCounts::new(),
-        };
-    }
+    let width = (rect.x1 as u32).saturating_sub(x0);
+    let height = (rect.y1 as u32).saturating_sub(y0);
     let mut pixels = vec![Rgb::BLACK; (width * height) as usize];
     let mut counts = StageCounts::new();
-
-    for py in y0..y1 {
-        let row_start = ((py - y0) * width) as usize;
-        let row = &mut pixels[row_start..row_start + width as usize];
-        shade_row(
-            sorted,
-            projected,
-            x0,
-            py,
-            background,
-            simd,
-            row,
-            &mut counts,
-        );
+    if width > 0 {
+        for (py, row) in (y0..).zip(pixels.chunks_exact_mut(width as usize)) {
+            shade_row(
+                sorted,
+                projected,
+                x0,
+                py,
+                background,
+                simd,
+                row,
+                &mut counts,
+            );
+        }
     }
-
     TileRaster {
         width,
         height,
@@ -113,11 +100,12 @@ pub fn rasterize_tile_with(
     }
 }
 
-/// Rasterizes one tile directly into a framebuffer, charging all work to
-/// `counts`. This is the allocation-free path the sequential rasterizers
-/// use inside a reused [`crate::FrameArena`]; it performs exactly the same
-/// per-pixel operations as [`rasterize_tile`], so the two paths produce
-/// bit-identical pixels and identical counters.
+/// Rasterizes one tile directly into a framebuffer with the production
+/// kernel ([`SimdMode::default`]), charging all work to `counts`. This is
+/// the allocation-free path the sequential rasterizers use inside a reused
+/// [`crate::FrameArena`]; it runs the same row walker as
+/// [`rasterize_tile`], so the two paths produce bit-identical pixels and
+/// identical counters.
 ///
 /// # Panics
 ///
@@ -135,15 +123,19 @@ pub fn rasterize_tile_into(
         projected,
         rect,
         background,
-        SimdMode::Scalar,
+        SimdMode::default(),
         image,
         counts,
     );
 }
 
 /// [`rasterize_tile_into`] with an explicit [`SimdMode`]. Allocation-free
-/// in every mode (the chunked kernels shade into stack buffers), and
-/// bit-identical to the scalar path with identical counters.
+/// in both modes: each tile row is shaded straight into the framebuffer's
+/// row slice.
+///
+/// # Panics
+///
+/// Panics when `rect` exceeds the framebuffer bounds.
 pub fn rasterize_tile_into_with(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
@@ -158,64 +150,21 @@ pub fn rasterize_tile_into_with(
         "inverted tile rect {rect:?}"
     );
     let x0 = rect.x0 as u32;
-    let y0 = rect.y0 as u32;
     let x1 = rect.x1 as u32;
-    let y1 = rect.y1 as u32;
-    if x1 <= x0 || y1 <= y0 {
+    if x1 <= x0 {
         return;
     }
-    for py in y0..y1 {
-        match simd {
-            SimdMode::Scalar => {
-                for px in x0..x1 {
-                    counts.pixels += 1;
-                    let pixel_center = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
-                    let color = shade_pixel(sorted, projected, pixel_center, background, counts);
-                    image.set_pixel(px, py, color);
-                }
-            }
-            SimdMode::Wide4 => {
-                shade_row_into::<4>(sorted, projected, x0, x1, py, background, image, counts);
-            }
-            SimdMode::Wide8 => {
-                shade_row_into::<8>(sorted, projected, x0, x1, py, background, image, counts);
-            }
-        }
+    for py in rect.y0 as u32..rect.y1 as u32 {
+        let row = image.row_mut(py, x0..x1);
+        shade_row(sorted, projected, x0, py, background, simd, row, counts);
     }
 }
 
-/// Shades one framebuffer row in `W`-pixel chunks with a scalar tail.
-#[allow(clippy::too_many_arguments)]
-fn shade_row_into<const W: usize>(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    x0: u32,
-    x1: u32,
-    py: u32,
-    background: Rgb,
-    image: &mut crate::Framebuffer,
-    counts: &mut StageCounts,
-) {
-    let mut px = x0;
-    while px + W as u32 <= x1 {
-        counts.pixels += W as u64;
-        let mut out = [Rgb::BLACK; W];
-        shade_chunk::<W>(sorted, projected, px, py, background, &mut out, counts);
-        for (lane, color) in out.iter().enumerate() {
-            image.set_pixel(px + lane as u32, py, *color);
-        }
-        px += W as u32;
-    }
-    while px < x1 {
-        counts.pixels += 1;
-        let pixel_center = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
-        let color = shade_pixel(sorted, projected, pixel_center, background, counts);
-        image.set_pixel(px, py, color);
-        px += 1;
-    }
-}
-
-/// Shades one buffered row in `W`-pixel chunks with a scalar tail.
+/// The one row walker behind every full-walk raster path: shades pixel
+/// row `py` into `row`, whose pixel `i` sits at column `x0 + i`, and
+/// charges every pixel to `counts`. [`SimdMode::Wide8`] walks the sorted
+/// list once per 8-pixel chunk ([`shade_chunk`]) and shades the ragged
+/// tail per pixel; [`SimdMode::Scalar`] walks it once per pixel.
 #[allow(clippy::too_many_arguments)]
 fn shade_row(
     sorted: &[u32],
@@ -227,54 +176,26 @@ fn shade_row(
     row: &mut [Rgb],
     counts: &mut StageCounts,
 ) {
-    match simd {
-        SimdMode::Scalar => {
-            for (i, out) in row.iter_mut().enumerate() {
-                counts.pixels += 1;
-                let pixel_center = Vec2::new((x0 + i as u32) as f32 + 0.5, py as f32 + 0.5);
-                *out = shade_pixel(sorted, projected, pixel_center, background, counts);
-            }
-        }
-        SimdMode::Wide4 => {
-            shade_row_buffered::<4>(sorted, projected, x0, py, background, row, counts)
-        }
+    counts.pixels += row.len() as u64;
+    let (tail_x0, tail) = match simd {
+        SimdMode::Scalar => (x0, row),
         SimdMode::Wide8 => {
-            shade_row_buffered::<8>(sorted, projected, x0, py, background, row, counts)
+            const LANES: usize = 8;
+            let mut chunks = row.chunks_exact_mut(LANES);
+            let mut px = x0;
+            for chunk in &mut chunks {
+                chunk.copy_from_slice(&shade_chunk::<LANES>(
+                    sorted, projected, px, py, background, counts,
+                ));
+                px += LANES as u32;
+            }
+            (px, chunks.into_remainder())
         }
-    }
-}
-
-fn shade_row_buffered<const W: usize>(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    x0: u32,
-    py: u32,
-    background: Rgb,
-    row: &mut [Rgb],
-    counts: &mut StageCounts,
-) {
-    let width = row.len();
-    let mut i = 0usize;
-    while i + W <= width {
-        counts.pixels += W as u64;
-        let mut out = [Rgb::BLACK; W];
-        shade_chunk::<W>(
-            sorted,
-            projected,
-            x0 + i as u32,
-            py,
-            background,
-            &mut out,
-            counts,
-        );
-        row[i..i + W].copy_from_slice(&out);
-        i += W;
-    }
-    while i < width {
-        counts.pixels += 1;
-        let pixel_center = Vec2::new((x0 + i as u32) as f32 + 0.5, py as f32 + 0.5);
-        row[i] = shade_pixel(sorted, projected, pixel_center, background, counts);
-        i += 1;
+    };
+    let y = py as f32 + 0.5;
+    for (px, out) in (tail_x0..).zip(tail) {
+        let pixel_center = Vec2::new(px as f32 + 0.5, y);
+        *out = shade_pixel(sorted, projected, pixel_center, background, counts);
     }
 }
 
@@ -295,9 +216,8 @@ fn shade_chunk<const W: usize>(
     px0: u32,
     py: u32,
     background: Rgb,
-    out: &mut [Rgb; W],
     counts: &mut StageCounts,
-) {
+) -> [Rgb; W] {
     let y = py as f32 + 0.5;
     let mut xs = [0.0f32; W];
     for (lane, x) in xs.iter_mut().enumerate() {
@@ -355,9 +275,9 @@ fn shade_chunk<const W: usize>(
         }
     }
 
-    for lane in 0..W {
-        out[lane] = Rgb::new(acc_r[lane], acc_g[lane], acc_b[lane]) + background * trans[lane];
-    }
+    std::array::from_fn(|lane| {
+        Rgb::new(acc_r[lane], acc_g[lane], acc_b[lane]) + background * trans[lane]
+    })
 }
 
 /// Walks a sorted splat list front-to-back for one pixel (Eqs. 1–2 with
@@ -654,25 +574,65 @@ mod tests {
         (projected, order)
     }
 
+    fn bits(p: Rgb) -> [u32; 3] {
+        [p.r.to_bits(), p.g.to_bits(), p.b.to_bits()]
+    }
+
     #[test]
     fn wide_modes_are_bit_identical_to_scalar_with_identical_counters() {
         let (projected, order) = mixed_splats();
         let background = Rgb::new(0.2, 0.3, 0.4);
-        // Widths exercise full chunks, scalar tails and rows narrower than
-        // a single chunk.
-        for (w, h) in [(16.0, 16.0), (10.0, 7.0), (3.0, 5.0), (17.0, 9.0)] {
-            let rect = TileRect::new(0.0, 0.0, w, h);
-            let scalar =
-                rasterize_tile_with(&order, &projected, &rect, background, SimdMode::Scalar);
-            for mode in [SimdMode::Wide4, SimdMode::Wide8] {
-                let wide = rasterize_tile_with(&order, &projected, &rect, background, mode);
-                assert_eq!(wide.counts, scalar.counts, "{mode:?} counters at {w}x{h}");
-                for (i, (a, b)) in scalar.pixels.iter().zip(&wide.pixels).enumerate() {
+        let sentinel = Rgb::new(-1.0, -2.0, -3.0);
+        // Every clipped width from a lone tail pixel through two full
+        // 8-lane chunks plus a tail, at a one-row, an odd and a full tile
+        // height. The rect sits off the framebuffer origin so the row
+        // slices start mid-row.
+        let (x0, y0) = (2u32, 1u32);
+        for h in [1u32, 7, 16] {
+            for w in 1u32..=17 {
+                let rect = TileRect::new(x0 as f32, y0 as f32, (x0 + w) as f32, (y0 + h) as f32);
+                let scalar =
+                    rasterize_tile_with(&order, &projected, &rect, background, SimdMode::Scalar);
+                for mode in SimdMode::ALL {
+                    let buffered = rasterize_tile_with(&order, &projected, &rect, background, mode);
                     assert_eq!(
-                        [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
-                        [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
-                        "{mode:?} pixel {i} at {w}x{h}"
+                        buffered.counts, scalar.counts,
+                        "{mode:?} counters at {w}x{h}"
                     );
+                    for (i, (a, b)) in scalar.pixels.iter().zip(&buffered.pixels).enumerate() {
+                        assert_eq!(bits(*a), bits(*b), "{mode:?} pixel {i} at {w}x{h}");
+                    }
+
+                    let mut image = crate::Framebuffer::new(x0 + 18, y0 + 17, sentinel);
+                    let mut counts = StageCounts::new();
+                    rasterize_tile_into_with(
+                        &order,
+                        &projected,
+                        &rect,
+                        background,
+                        mode,
+                        &mut image,
+                        &mut counts,
+                    );
+                    assert_eq!(
+                        counts, scalar.counts,
+                        "{mode:?} in-place counters at {w}x{h}"
+                    );
+                    for y in 0..image.height() {
+                        for x in 0..image.width() {
+                            let expected = if (x0..x0 + w).contains(&x) && (y0..y0 + h).contains(&y)
+                            {
+                                scalar.pixels[((y - y0) * w + (x - x0)) as usize]
+                            } else {
+                                sentinel
+                            };
+                            assert_eq!(
+                                bits(image.pixel(x, y)),
+                                bits(expected),
+                                "{mode:?} in-place pixel ({x},{y}) at {w}x{h}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -683,7 +643,7 @@ mod tests {
         let (projected, order) = mixed_splats();
         let background = Rgb::splat(0.15);
         let rect = TileRect::new(2.0, 1.0, 15.0, 12.0);
-        for mode in [SimdMode::Wide4, SimdMode::Wide8] {
+        for mode in [SimdMode::Wide8] {
             let buffered = rasterize_tile_with(&order, &projected, &rect, background, mode);
             let mut image = crate::Framebuffer::new(16, 16, Rgb::BLACK);
             let mut counts = StageCounts::new();
@@ -715,12 +675,11 @@ mod tests {
             .map(|i| splat(Vec2::new(8.0, 8.0), 20.0, 0.99, Rgb::WHITE, i as f32, i))
             .collect();
         let order: Vec<u32> = (0..50).collect();
-        let scalar = rasterize_tile(&order, &projected, &tile(), Rgb::BLACK);
-        for mode in [SimdMode::Wide4, SimdMode::Wide8] {
-            let wide = rasterize_tile_with(&order, &projected, &tile(), Rgb::BLACK, mode);
-            assert_eq!(wide.counts, scalar.counts, "{mode:?}");
-            assert_eq!(wide.pixels, scalar.pixels, "{mode:?}");
-        }
+        let scalar = rasterize_tile_with(&order, &projected, &tile(), Rgb::BLACK, SimdMode::Scalar);
+        let wide = rasterize_tile_with(&order, &projected, &tile(), Rgb::BLACK, SimdMode::Wide8);
+        assert!(scalar.counts.early_exits > 0);
+        assert_eq!(wide.counts, scalar.counts);
+        assert_eq!(wide.pixels, scalar.pixels);
     }
 
     #[test]

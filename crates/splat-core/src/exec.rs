@@ -23,32 +23,30 @@ pub enum ExecutionModel {
 /// Lane width of the chunked (SIMD-shaped) kernels used by the projection
 /// transform and the tile blending inner loop.
 ///
-/// The wide modes process fixed-size `[f32; W]` chunks whose per-lane
+/// The wide mode processes fixed-size `[f32; 8]` chunks whose per-lane
 /// operations are the *same scalar operations in the same order* as the
-/// scalar path (no fused multiply-add), so every mode produces bit-identical
+/// scalar path (no fused multiply-add), so both modes produce bit-identical
 /// images and identical operation counts — the knob only changes how the
-/// work is laid out for the compiler's auto-vectorizer.
+/// work is laid out for the compiler's auto-vectorizer. `Wide8` is the
+/// production default: it measured fastest on every benchmark workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdMode {
-    /// One splat / pixel at a time (the reference path).
-    #[default]
+    /// One splat / pixel at a time (the per-pixel reference path).
     Scalar,
-    /// 4-wide chunked kernels.
-    Wide4,
-    /// 8-wide chunked kernels.
+    /// 8-wide chunked kernels (the production path).
+    #[default]
     Wide8,
 }
 
 impl SimdMode {
     /// Every mode, scalar first.
-    pub const ALL: [SimdMode; 3] = [SimdMode::Scalar, SimdMode::Wide4, SimdMode::Wide8];
+    pub const ALL: [SimdMode; 2] = [SimdMode::Scalar, SimdMode::Wide8];
 
     /// Lane width of the chunked kernels (1 for the scalar path).
     #[inline]
     pub fn lanes(self) -> usize {
         match self {
             SimdMode::Scalar => 1,
-            SimdMode::Wide4 => 4,
             SimdMode::Wide8 => 8,
         }
     }
@@ -57,7 +55,6 @@ impl SimdMode {
     pub fn label(self) -> &'static str {
         match self {
             SimdMode::Scalar => "scalar",
-            SimdMode::Wide4 => "wide4",
             SimdMode::Wide8 => "wide8",
         }
     }
@@ -299,11 +296,11 @@ mod tests {
         let exec = ExecutionConfig::builder()
             .threads(0)
             .model(ExecutionModel::AcceleratorOverlapped)
-            .simd(SimdMode::Wide8)
+            .simd(SimdMode::Scalar)
             .build();
         assert_eq!(exec.threads, 1);
         assert_eq!(exec.model, ExecutionModel::AcceleratorOverlapped);
-        assert_eq!(exec.simd, SimdMode::Wide8);
+        assert_eq!(exec.simd, SimdMode::Scalar);
         assert_eq!(
             ExecutionConfig::builder().build(),
             ExecutionConfig::default()
@@ -312,19 +309,16 @@ mod tests {
 
     #[test]
     fn simd_modes_expose_lane_widths_and_labels() {
-        assert_eq!(SimdMode::default(), SimdMode::Scalar);
+        assert_eq!(SimdMode::default(), SimdMode::Wide8);
         assert_eq!(
             SimdMode::ALL.map(SimdMode::lanes),
-            [1, 4, 8],
+            [1, 8],
             "lane widths are pinned"
         );
-        assert_eq!(
-            SimdMode::ALL.map(SimdMode::label),
-            ["scalar", "wide4", "wide8"]
-        );
-        let exec = ExecutionConfig::sequential().with_simd(SimdMode::Wide4);
-        assert_eq!(exec.simd(), SimdMode::Wide4);
-        assert_eq!(ExecutionConfig::default().simd, SimdMode::Scalar);
+        assert_eq!(SimdMode::ALL.map(SimdMode::label), ["scalar", "wide8"]);
+        let exec = ExecutionConfig::sequential().with_simd(SimdMode::Scalar);
+        assert_eq!(exec.simd(), SimdMode::Scalar);
+        assert_eq!(ExecutionConfig::default().simd, SimdMode::Wide8);
     }
 
     #[test]

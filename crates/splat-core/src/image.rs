@@ -1,6 +1,7 @@
 //! Framebuffer and image comparison utilities.
 
 use splat_types::Rgb;
+use std::ops::Range;
 
 /// A simple RGB framebuffer in row-major order.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +71,22 @@ impl Framebuffer {
             "pixel ({x},{y}) out of bounds"
         );
         self.pixels[(y as usize) * (self.width as usize) + x as usize] = color;
+    }
+
+    /// Mutable slice of row `y` covering columns `xs` — the span a tile
+    /// row writes, handed to the blend kernel in one bounds check.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the span is inverted or leaves the framebuffer.
+    #[inline]
+    pub fn row_mut(&mut self, y: u32, xs: Range<u32>) -> &mut [Rgb] {
+        assert!(
+            xs.start <= xs.end && xs.end <= self.width && y < self.height,
+            "row span {xs:?} of row {y} out of bounds"
+        );
+        let row_start = (y as usize) * (self.width as usize);
+        &mut self.pixels[row_start + xs.start as usize..row_start + xs.end as usize]
     }
 
     /// Raw pixel slice in row-major order.
@@ -235,6 +252,30 @@ mod tests {
         assert_eq!(fb.pixel(2, 2), Rgb::WHITE);
         assert_eq!(fb.pixel(0, 0), Rgb::BLACK);
         assert_eq!(fb.pixel(3, 3), Rgb::BLACK);
+    }
+
+    #[test]
+    fn row_mut_spans_exactly_the_requested_columns() {
+        let mut fb = Framebuffer::black(5, 3);
+        assert_eq!(fb.row_mut(2, 1..4).len(), 3);
+        fb.row_mut(2, 1..4).fill(Rgb::WHITE);
+        assert!(fb.row_mut(1, 5..5).is_empty());
+        for x in 0..5 {
+            let expected = if (1..4).contains(&x) {
+                Rgb::WHITE
+            } else {
+                Rgb::BLACK
+            };
+            assert_eq!(fb.pixel(x, 2), expected, "column {x}");
+            assert_eq!(fb.pixel(x, 1), Rgb::BLACK, "column {x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_mut_past_the_right_edge_panics() {
+        let mut fb = Framebuffer::black(4, 4);
+        let _ = fb.row_mut(0, 2..5);
     }
 
     #[test]

@@ -362,9 +362,6 @@ fn span_walk(
                     SimdMode::Scalar => {
                         walk_interval::<1>(splat, x0, y0, width, row, lo, hi, counts, scratch)
                     }
-                    SimdMode::Wide4 => {
-                        walk_interval::<4>(splat, x0, y0, width, row, lo, hi, counts, scratch)
-                    }
                     SimdMode::Wide8 => {
                         walk_interval::<8>(splat, x0, y0, width, row, lo, hi, counts, scratch)
                     }
@@ -591,18 +588,16 @@ mod tests {
             SimdMode::Scalar,
             &mut scratch,
         );
-        for simd in [SimdMode::Wide4, SimdMode::Wide8] {
-            let wide = rasterize_tile_spans_with(
-                &order,
-                &projected,
-                &rect,
-                background,
-                simd,
-                &mut scratch,
-            );
-            assert_eq!(wide.counts, scalar.counts, "{simd:?}");
-            assert_eq!(wide.pixels, scalar.pixels, "{simd:?}");
-        }
+        let wide = rasterize_tile_spans_with(
+            &order,
+            &projected,
+            &rect,
+            background,
+            SimdMode::Wide8,
+            &mut scratch,
+        );
+        assert_eq!(wide.counts, scalar.counts);
+        assert_eq!(wide.pixels, scalar.pixels);
     }
 
     #[test]

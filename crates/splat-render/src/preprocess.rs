@@ -123,7 +123,6 @@ fn preprocess_soa_into(
                 project_soa_splat(soa, i, None, camera, counts, out);
             }
         }
-        SimdMode::Wide4 => preprocess_soa_chunked::<4>(soa, camera, counts, out),
         SimdMode::Wide8 => preprocess_soa_chunked::<8>(soa, camera, counts, out),
     }
 }
@@ -489,9 +488,9 @@ mod tests {
 
     #[test]
     fn simd_projection_is_bit_identical_to_scalar_projection() {
-        // 21 splats: two full 8-lane chunks + a 5-splat tail for Wide8,
-        // five 4-lane chunks + 1 tail for Wide4. Includes culled splats so
-        // lane bookkeeping around rejected candidates is exercised.
+        // 21 splats: two full 8-lane chunks + a 5-splat tail. Includes
+        // culled splats so lane bookkeeping around rejected candidates is
+        // exercised.
         let mut gaussians = Vec::new();
         for i in 0..21 {
             let angle = i as f32 * 0.37;
@@ -514,21 +513,20 @@ mod tests {
             );
         }
         let scene = Scene::new("simd", 640, 480, gaussians);
-        let base = RenderConfig::new(16, BoundaryMethod::Aabb);
+        let mut base = RenderConfig::new(16, BoundaryMethod::Aabb);
+        base.exec.simd = splat_core::SimdMode::Scalar;
 
         let mut scalar_counts = StageCounts::new();
         let scalar = preprocess(&scene, &camera(), &base, &mut scalar_counts);
         assert!(!scalar.is_empty());
         assert!(scalar_counts.culled_gaussians > 0);
 
-        for simd in [splat_core::SimdMode::Wide4, splat_core::SimdMode::Wide8] {
-            let mut config = base;
-            config.exec.simd = simd;
-            let mut counts = StageCounts::new();
-            let wide = preprocess(&scene, &camera(), &config, &mut counts);
-            assert_eq!(counts, scalar_counts, "{simd:?}");
-            assert_eq!(wide, scalar, "{simd:?}");
-        }
+        let mut config = base;
+        config.exec.simd = splat_core::SimdMode::Wide8;
+        let mut counts = StageCounts::new();
+        let wide = preprocess(&scene, &camera(), &config, &mut counts);
+        assert_eq!(counts, scalar_counts);
+        assert_eq!(wide, scalar);
     }
 
     #[test]
